@@ -13,11 +13,18 @@ already control a device on that path.
 The insertion is implemented in two phases:
 
 1. **Variable completion** (the paper's literal rule): as long as some
-   simple path from X or Y to Z misses an input variable, a chain of
+   discharge path from X or Y to Z misses an input variable, a chain of
    pass-gates for the missing variables is spliced into that path.  The
    splice point is chosen so that paths which already contain the
    variable are not lengthened unnecessarily
-   (see :func:`_choose_split_edge`).
+   (see :func:`_choose_split_edge`).  Only *realizable* paths count as
+   discharge paths: a structural path that holds both rails of some
+   input never conducts, so lengthening it would only cost area.  The
+   paths are listed by :func:`repro.network.analysis.realizable_paths`,
+   which prunes a prefix the moment it holds both rails of a variable
+   instead of listing every structural path and filtering afterwards;
+   for an S-box output that is the difference between at most sixteen
+   paths and about a million.
 2. **Depth equalisation**: the sharing performed by the Section 4
    constructions can leave discharge paths of *different lengths even
    though each path sees every input* (the fully connected XOR network is
@@ -39,9 +46,14 @@ the area / capacitance cost the paper describes as the trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from ..network.analysis import path_variables, structural_paths
+from ..network.analysis import (
+    complementary_assignments,
+    graph_paths,
+    path_variables,
+    realizable_paths,
+)
 from ..network.netlist import DifferentialPullDownNetwork, Literal, Transistor
 
 __all__ = ["EnhancementError", "PassGateInsertion", "EnhancementResult", "enhance_fc_dpdn", "enhance_fc_dpdn_with_insertions"]
@@ -145,15 +157,13 @@ def _find_incomplete_path(
     """Find a discharge path that does not contain every input variable.
 
     Returns ``(output_node, path, missing_variables)`` for the shortest
-    offending path, or ``None`` when every path is complete.  Paths that
-    can never conduct (they contain both rails of some input) are skipped
-    -- they are not discharge paths and lengthening them only costs area.
+    offending path, or ``None`` when every path is complete.  Only
+    realizable paths are considered: paths that can never conduct (they
+    contain both rails of some input) are not discharge paths.
     """
     candidates: List[Tuple[int, str, List[Transistor], Set[str]]] = []
     for output in (dpdn.x, dpdn.y):
-        for path in structural_paths(dpdn, output, dpdn.z):
-            if _is_contradictory(path):
-                continue
+        for path in realizable_paths(dpdn, output, dpdn.z):
             missing = all_variables - path_variables(path)
             if missing:
                 candidates.append((len(path), output, path, missing))
@@ -172,16 +182,17 @@ def _event_minimal_paths(
     Returns one entry per complementary input event:
     ``(min_depth, event_label, [(output, path), ...])`` where the list
     contains every conducting path of minimal length for that event.
+    The conducting graph of each event is built once and searched from
+    both outputs.
     """
-    from ..network.analysis import complementary_assignments, conducting_paths
-
     result: List[Tuple[int, str, List[Tuple[str, List[Transistor]]]]] = []
     for assignment in complementary_assignments(dpdn.variables()):
         label = ", ".join(f"{k}={int(v)}" for k, v in sorted(assignment.items()))
         best_depth: Optional[int] = None
         minimal: List[Tuple[str, List[Transistor]]] = []
+        adjacency = dpdn.adjacency(assignment)
         for output in (dpdn.x, dpdn.y):
-            for path in conducting_paths(dpdn, assignment, output, dpdn.z):
+            for path in graph_paths(adjacency, output, dpdn.z):
                 if best_depth is None or len(path) < best_depth:
                     best_depth = len(path)
                     minimal = [(output, path)]
@@ -251,14 +262,6 @@ def _padding_variable(path: Sequence[Transistor], variables: Sequence[str]) -> s
     return min(variables, key=lambda variable: (counts[variable], variable))
 
 
-def _is_contradictory(path: Sequence[Transistor]) -> bool:
-    """True when the path contains both rails of some input (never conducts)."""
-    seen: Dict[str, Set[bool]] = {}
-    for device in path:
-        seen.setdefault(device.gate.variable, set()).add(device.gate.positive)
-    return any(len(polarities) > 1 for polarities in seen.values())
-
-
 def _choose_split_edge(
     dpdn: DifferentialPullDownNetwork,
     output: str,
@@ -276,21 +279,17 @@ def _choose_split_edge(
        next to the single-device branch of the AND-NAND network).
     """
     missing_set = set(missing)
-    all_paths: List[Tuple[str, List[Transistor]]] = []
-    for out in (dpdn.x, dpdn.y):
-        for candidate in structural_paths(dpdn, out, dpdn.z):
-            if not _is_contradictory(candidate):
-                all_paths.append((out, candidate))
+    # Device names of each realizable path that already holds every
+    # missing variable: splicing into one of its devices lengthens it.
+    complete_paths = [
+        {item.name for item in candidate}
+        for out in (dpdn.x, dpdn.y)
+        for candidate in realizable_paths(dpdn, out, dpdn.z)
+        if not (missing_set - path_variables(candidate))
+    ]
 
     def penalty(device: Transistor) -> int:
-        cost = 0
-        for _, candidate in all_paths:
-            names = {item.name for item in candidate}
-            if device.name not in names:
-                continue
-            if not (missing_set - path_variables(candidate)):
-                cost += 1  # the candidate path is already complete in these variables
-        return cost
+        return sum(device.name in names for names in complete_paths)
 
     best = min(enumerate(path), key=lambda item: (penalty(item[1]), item[0]))
     return best[1]

@@ -176,13 +176,14 @@ def check_memory_effect_free(dpdn: DifferentialPullDownNetwork) -> CheckResult:
     of per-node behaviour: a node that discharges for some events and
     floats for others carries state between cycles.
     """
-    events = list(complementary_assignments(dpdn.variables()))
+    # One conducting-graph search per event, shared by every node.
+    discharged_by_event = [
+        (_format_assignment(assignment), discharged_nodes(dpdn, assignment))
+        for assignment in complementary_assignments(dpdn.variables())
+    ]
     stateful: List[str] = []
     for node in dpdn.internal_nodes():
-        behaviour = {
-            _format_assignment(assignment): node in discharged_nodes(dpdn, assignment)
-            for assignment in events
-        }
+        behaviour = {event: node in discharged for event, discharged in discharged_by_event}
         values = set(behaviour.values())
         if len(values) > 1:
             keeps = [event for event, discharged in behaviour.items() if not discharged]

@@ -17,10 +17,12 @@ from .analysis import (
     evaluation_depths,
     floating_internal_nodes,
     full_connectivity_report,
+    graph_paths,
     is_fully_connected,
     nodes_connected_to,
     path_variables,
     realized_function,
+    realizable_paths,
     structural_paths,
 )
 from .build import (
@@ -60,6 +62,8 @@ __all__ = [
     "conducting_components",
     "conducting_paths",
     "structural_paths",
+    "realizable_paths",
+    "graph_paths",
     "path_variables",
     "branch_conducts",
     "realized_function",

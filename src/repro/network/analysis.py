@@ -15,6 +15,19 @@ given complementary input assignment.  This module computes
   path (Section 5), and
 * the discharge paths themselves, for reporting and for the pass-gate
   insertion of :mod:`repro.core.enhance`.
+
+All path listings share one backtracking depth-first search
+(:func:`graph_paths`): a single ``path`` list and ``visited`` set are
+extended on the way down and undone on the way back, so a prefix is never
+copied until it reaches the target.  :func:`realizable_paths` runs the
+same search on the structural graph with *rail pruning*: it also keeps
+the rail each input variable takes on the current prefix and abandons
+the prefix as soon as a device would put both rails of one variable on
+it.  Such a path can never conduct (the rails of a complementary pair
+are never both 1 during evaluation), so neither can any extension of it.
+On a synthesized S-box output the pruning cuts the X/Y->Z search from
+about a million structural paths to the sixteen or fewer that can
+conduct.
 """
 
 from __future__ import annotations
@@ -43,7 +56,9 @@ __all__ = [
     "conducting_paths",
     "evaluation_depth",
     "evaluation_depths",
+    "graph_paths",
     "path_variables",
+    "realizable_paths",
     "structural_paths",
 ]
 
@@ -231,33 +246,89 @@ def conducting_paths(
     target: str,
 ) -> List[List[Transistor]]:
     """All simple paths of conducting devices between two nodes."""
-    adjacency = dpdn.adjacency(assignment)
-    return _simple_paths(adjacency, source, target)
+    return graph_paths(dpdn.adjacency(assignment), source, target)
 
 
 def structural_paths(
     dpdn: DifferentialPullDownNetwork, source: str, target: str
 ) -> List[List[Transistor]]:
     """All simple device paths between two nodes, ignoring gate values."""
-    adjacency = dpdn.adjacency(None)
-    return _simple_paths(adjacency, source, target)
+    return graph_paths(dpdn.adjacency(None), source, target)
 
 
-def _simple_paths(
+def realizable_paths(
+    dpdn: DifferentialPullDownNetwork, source: str, target: str
+) -> List[List[Transistor]]:
+    """Simple device paths that conduct under some complementary input event.
+
+    These are the structural paths that never hold both rails of one
+    input variable, listed in the order :func:`structural_paths` lists
+    them; a prefix holding both rails is pruned before it is extended.
+    """
+    return _search_paths(dpdn.adjacency(None), source, target, prune_rails=True)
+
+
+def graph_paths(
     adjacency: Mapping[str, List[Tuple[str, Transistor]]], source: str, target: str
 ) -> List[List[Transistor]]:
+    """All simple paths between two nodes of a prebuilt adjacency map.
+
+    Lets a caller that needs several searches of one conducting graph
+    (for instance from both X and Y) build the adjacency once.
+    """
+    return _search_paths(adjacency, source, target, prune_rails=False)
+
+
+def _search_paths(
+    adjacency: Mapping[str, List[Tuple[str, Transistor]]],
+    source: str,
+    target: str,
+    prune_rails: bool,
+) -> List[List[Transistor]]:
+    """Backtracking depth-first search for simple ``source``-``target`` paths.
+
+    Paths come out in depth-first order of the adjacency lists.  With
+    ``prune_rails`` a device whose gate is the opposite rail of a variable
+    already on the prefix is skipped, together with every path through it.
+    """
     paths: List[List[Transistor]] = []
     if source == target:
         return paths
-
-    def extend(node: str, visited: Set[str], path: List[Transistor]) -> None:
-        for neighbour, transistor in adjacency.get(node, ()):  # type: ignore[call-overload]
+    path: List[Transistor] = []
+    visited = {source}
+    # Rail of each variable on the current prefix, and per step the
+    # (node, variable whose rail the step fixed first) to undo on return.
+    rails: Dict[str, bool] = {}
+    steps: List[Tuple[str, Optional[str]]] = []
+    frames = [iter(adjacency.get(source, ()))]  # type: ignore[call-overload]
+    while frames:
+        for neighbour, transistor in frames[-1]:
+            claimed: Optional[str] = None
+            if prune_rails:
+                gate = transistor.gate
+                rail = rails.get(gate.variable)
+                if rail is None:
+                    claimed = gate.variable
+                elif rail != gate.positive:
+                    continue
             if neighbour == target:
                 paths.append(path + [transistor])
             elif neighbour not in visited:
-                extend(neighbour, visited | {neighbour}, path + [transistor])
-
-    extend(source, {source}, [])
+                visited.add(neighbour)
+                path.append(transistor)
+                if claimed is not None:
+                    rails[claimed] = transistor.gate.positive
+                steps.append((neighbour, claimed))
+                frames.append(iter(adjacency.get(neighbour, ())))  # type: ignore[call-overload]
+                break
+        else:
+            frames.pop()
+            if steps:
+                node, claimed = steps.pop()
+                visited.discard(node)
+                path.pop()
+                if claimed is not None:
+                    del rails[claimed]
     return paths
 
 
@@ -277,10 +348,12 @@ def evaluation_depth(
     the discharge and is reported.  Returns ``None`` when neither branch
     conducts (a malformed network).
     """
-    depths = []
-    for output in (dpdn.x, dpdn.y):
-        for path in conducting_paths(dpdn, assignment, output, dpdn.z):
-            depths.append(len(path))
+    adjacency = dpdn.adjacency(assignment)
+    depths = [
+        len(path)
+        for output in (dpdn.x, dpdn.y)
+        for path in graph_paths(adjacency, output, dpdn.z)
+    ]
     if not depths:
         return None
     return min(depths)

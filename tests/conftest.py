@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +20,22 @@ from repro.boolexpr import parse
 from repro.core import synthesize_fc_dpdn
 from repro.electrical import generic_180nm
 from repro.network import build_genuine_dpdn
+
+# --------------------------------------------------------------------------- hypothesis
+#
+# "deterministic" (the default) seeds every property test from a hash of
+# the test and keeps no example database, so a checkout runs the same
+# examples every time and a case found on one machine does not replay on
+# another.  "randomized" draws fresh examples and keeps the local
+# database; the nightly CI job selects it with HYPOTHESIS_PROFILE.
+try:
+    from hypothesis import settings as hypothesis_settings
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    pass
+else:
+    hypothesis_settings.register_profile("deterministic", derandomize=True, database=None)
+    hypothesis_settings.register_profile("randomized", derandomize=False)
+    hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 # --------------------------------------------------------------------------- fixtures

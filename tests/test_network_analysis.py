@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.boolexpr import parse
-from repro.core import synthesize_fc_dpdn
+from repro.boolexpr import is_contradiction, is_tautology, parse
+from repro.core import enhance_fc_dpdn, synthesize_fc_dpdn, transform_to_fc
+from repro.core.transform import NotDualError
 from repro.network import (
+    NotSeriesParallelError,
     branch_conducts,
     complementary_assignments,
     conducting_components,
@@ -17,8 +19,14 @@ from repro.network import (
     is_fully_connected,
     build_genuine_dpdn,
     path_variables,
+    realizable_paths,
     structural_paths,
 )
+
+from strategies import HAVE_HYPOTHESIS, expression_strategy
+
+if HAVE_HYPOTHESIS:
+    from hypothesis import HealthCheck, assume, given, settings
 
 
 class TestComplementaryAssignments:
@@ -113,3 +121,86 @@ class TestPathsAndDepth:
         depths = [depth for depth in evaluation_depths(dpdn).values()]
         assert all(depth is not None for depth in depths)
         assert max(depth for depth in depths) == 3
+
+
+# --------------------------------------------------------------------------- path-search equivalence
+#
+# realizable_paths and conducting_paths prune or restrict the search while
+# it runs; the oracle is the plain structural listing filtered afterwards.
+
+
+def _holds_both_rails(path):
+    rails = {}
+    for device in path:
+        rails.setdefault(device.gate.variable, set()).add(device.gate.positive)
+    return any(len(polarities) > 1 for polarities in rails.values())
+
+
+def _assert_searches_match_filtered_structural_paths(dpdn):
+    for output in (dpdn.x, dpdn.y):
+        structural = structural_paths(dpdn, output, dpdn.z)
+        expected = [path for path in structural if not _holds_both_rails(path)]
+        assert realizable_paths(dpdn, output, dpdn.z) == expected, (dpdn.name, output)
+        for assignment in complementary_assignments(dpdn.variables()):
+            expected = [
+                path
+                for path in structural
+                if all(device.conducts(assignment) for device in path)
+            ]
+            assert conducting_paths(dpdn, assignment, output, dpdn.z) == expected, (
+                dpdn.name,
+                output,
+                assignment,
+            )
+
+
+def _representative_networks(name, function):
+    """The synthesize and (where the method applies) transform forms."""
+    networks = [synthesize_fc_dpdn(function, name=f"{name}_synth")]
+    try:
+        networks.append(transform_to_fc(build_genuine_dpdn(function), name=f"{name}_transform"))
+    except (NotDualError, NotSeriesParallelError):
+        pass
+    return networks
+
+
+class TestPathSearchEquivalence:
+    def test_representative_networks_before_and_after_enhancement(self, representative_function):
+        name, function = representative_function
+        for network in _representative_networks(name, function):
+            _assert_searches_match_filtered_structural_paths(network)
+            _assert_searches_match_filtered_structural_paths(enhance_fc_dpdn(network))
+
+    def test_genuine_network(self, and2_genuine):
+        _assert_searches_match_filtered_structural_paths(and2_genuine)
+
+    def test_source_equal_to_target_has_no_paths(self, and2_fc):
+        assert realizable_paths(and2_fc, "Z", "Z") == []
+        assert structural_paths(and2_fc, "Z", "Z") == []
+
+    def test_both_rail_paths_are_pruned(self):
+        # X -A- n1 -~A- Z can never conduct; X -B- Z can.
+        from repro.network import DifferentialPullDownNetwork, Literal
+
+        dpdn = DifferentialPullDownNetwork("rails")
+        dpdn.add_transistor(Literal("A", True), "X", "n1")
+        dpdn.add_transistor(Literal("A", False), "n1", "Z")
+        dpdn.add_transistor(Literal("B", True), "X", "Z")
+        assert len(structural_paths(dpdn, "X", "Z")) == 2
+        assert [[device.name for device in path] for path in realizable_paths(dpdn, "X", "Z")] == [
+            ["M3"]
+        ]
+
+    if HAVE_HYPOTHESIS:
+
+        @given(expression_strategy(max_leaves=5))
+        @settings(
+            max_examples=30,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+        )
+        def test_drawn_expressions_before_and_after_enhancement(self, expr):
+            assume(not (is_tautology(expr) or is_contradiction(expr)))
+            network = synthesize_fc_dpdn(expr)
+            _assert_searches_match_filtered_structural_paths(network)
+            _assert_searches_match_filtered_structural_paths(enhance_fc_dpdn(network))
